@@ -1,11 +1,12 @@
-// Navigation-tier ablation: paged cursor vs the tag-summary fused scan vs
-// the in-memory balanced-parentheses index, on navigation-bound queries
+// Navigation-tier ablation: paged cursor vs the in-memory
+// balanced-parentheses index, on navigation-bound queries
 // (StartStrategy::kScan forces the scan path, so the access tier — not
 // index probing — dominates).
 //
 // Two query classes per dataset: low selectivity (the always-present
 // detail tag; the scan visits everything) and high selectivity (the
-// rarest planted marker; the fused scans get to skip).  Self-checks:
+// rarest planted marker; the bp tag scan gets to skip blocks).
+// Self-checks:
 //
 //   * every mode returns byte-identical Dewey results;
 //   * bp mode touches zero subject-tree pages on every measured query;
@@ -32,17 +33,7 @@
 namespace nok {
 namespace {
 
-struct Mode {
-  bool tag_summaries;
-  NavMode nav_mode;
-  const char* name;
-};
-
-constexpr Mode kModes[] = {
-    {false, NavMode::kPaged, "paged"},
-    {true, NavMode::kPaged, "fused"},
-    {true, NavMode::kBp, "bp"},
-};
+constexpr NavMode kModes[] = {NavMode::kPaged, NavMode::kBp};
 
 /// One (dataset, mode, query) measurement.
 struct Cell {
@@ -110,11 +101,9 @@ int Run(int argc, char** argv) {
     const std::vector<std::string> sweep = {ds.detail_a, ds.marker_gem};
 
     for (size_t m = 0; m < std::size(kModes); ++m) {
-      const Mode& mode = kModes[m];
       DocumentStore::Options options;
       options.page_size = page_size;
-      options.use_tag_summaries = mode.tag_summaries;
-      options.nav_mode = mode.nav_mode;
+      options.nav_mode = kModes[m];
       auto store = DocumentStore::Build(ds.xml, options);
       if (!store.ok()) {
         fprintf(stderr, "build failed: %s\n",
@@ -164,7 +153,7 @@ int Run(int argc, char** argv) {
         cell.best_seconds = best_seconds;
         cell.mean_seconds = total_seconds / runs;
         printf("%-9s %-6s %-10s %9llu %8zu %8llu %10llu %9llu %9.3f\n",
-               cell.dataset.c_str(), mode.name, tag.c_str(),
+               cell.dataset.c_str(), NavModeName(kModes[m]), tag.c_str(),
                static_cast<unsigned long long>(cell.tag_count),
                cell.results,
                static_cast<unsigned long long>(cell.nav.pages_scanned),
@@ -186,7 +175,7 @@ int Run(int argc, char** argv) {
         fprintf(stderr,
                 "RESULT MISMATCH: mode %s disagrees with mode %s on "
                 "%s //%s\n",
-                kModes[m].name, kModes[0].name,
+                NavModeName(kModes[m]), NavModeName(kModes[0]),
                 grid[m][q].dataset.c_str(), grid[m][q].tag.c_str());
       }
     }
@@ -243,15 +232,14 @@ int Run(int argc, char** argv) {
           "\"nav_mode\": \"%s\", \"tag\": \"%s\", \"tag_count\": %llu, "
           "\"results\": %zu, \"best_seconds\": %.6f, "
           "\"mean_seconds\": %.6f, \"pages_scanned\": %llu, "
-          "\"pages_skipped_by_tag\": %llu, \"bp_steps\": %llu, "
+          "\"bp_steps\": %llu, "
           "\"bp_tag_blocks_skipped\": %llu, "
           "\"speedup_vs_paged\": %.4f}%s\n",
-          c.dataset.c_str(), kModes[m].name,
-          NavModeName(kModes[m].nav_mode), c.tag.c_str(),
+          c.dataset.c_str(), NavModeName(kModes[m]),
+          NavModeName(kModes[m]), c.tag.c_str(),
           static_cast<unsigned long long>(c.tag_count), c.results,
           c.best_seconds, c.mean_seconds,
           static_cast<unsigned long long>(c.nav.pages_scanned),
-          static_cast<unsigned long long>(c.nav.pages_skipped_by_tag),
           static_cast<unsigned long long>(c.nav.bp_steps),
           static_cast<unsigned long long>(c.nav.bp_tag_blocks_skipped),
           vs_paged,

@@ -1,14 +1,12 @@
 // Page-skip ablation: measures how much of a forced sequential scan the
-// (st,lo,hi) header skip and the per-page tag summaries each avoid, over
-// tags of decreasing frequency (the dataset's always-present detail tag
-// down to the rarest planted marker).
+// paper's (st,lo,hi) header skip avoids, over tags of decreasing frequency
+// (the dataset's always-present detail tag down to the rarest planted
+// marker).
 //
-// The four modes are the {use_header_skip} x {use_tag_summaries} cross
-// product; every query runs with StartStrategy::kScan so the scan path is
-// exercised even where planning would pick an index.  Results must be
-// identical across modes (the knobs only change which pages are touched);
-// the run fails if they differ or if the tag summaries fail to skip any
-// page for the rarest marker.
+// The two modes are use_header_skip off and on; every query runs with
+// StartStrategy::kScan so the scan path is exercised even where planning
+// would pick an index.  Results must be identical across modes (the knob
+// only changes which pages are touched); the run fails if they differ.
 //
 // Usage: bench_pageskip [--dataset catalog] [--scale 0.05] [--seed 42]
 //                       [--page-size 512] [--runs 3]
@@ -31,15 +29,12 @@ namespace {
 
 struct Mode {
   bool header_skip;
-  bool tag_summaries;
   const char* name;
 };
 
 constexpr Mode kModes[] = {
-    {false, false, "none"},
-    {true, false, "header"},
-    {false, true, "tag"},
-    {true, true, "header+tag"},
+    {false, "none"},
+    {true, "header"},
 };
 
 /// One (mode, tag) measurement.
@@ -85,8 +80,8 @@ int Run(int argc, char** argv) {
 
   printf("page-skip ablation: %s (scale %.3f, page size %u, %d runs)\n\n",
          ds.name.c_str(), gen.scale, page_size, runs);
-  printf("%-11s %-10s %9s %8s %9s %9s %9s %9s\n", "mode", "tag", "count",
-         "results", "scanned", "lvl-skip", "tag-skip", "mean ms");
+  printf("%-7s %-10s %9s %8s %9s %9s %9s\n", "mode", "tag", "count",
+         "results", "scanned", "lvl-skip", "mean ms");
 
   std::vector<std::vector<Cell>> grid;  // [mode][tag].
   uint64_t node_count = 0;
@@ -95,7 +90,6 @@ int Run(int argc, char** argv) {
     DocumentStore::Options options;
     options.page_size = page_size;
     options.use_header_skip = mode.header_skip;
-    options.use_tag_summaries = mode.tag_summaries;
     auto store = DocumentStore::Build(ds.xml, options);
     if (!store.ok()) {
       fprintf(stderr, "build failed: %s\n",
@@ -142,19 +136,18 @@ int Run(int argc, char** argv) {
         }
       }
       cell.mean_seconds = total_seconds / runs;
-      printf("%-11s %-10s %9llu %8zu %9llu %9llu %9llu %9.3f\n", mode.name,
+      printf("%-7s %-10s %9llu %8zu %9llu %9llu %9.3f\n", mode.name,
              tag.c_str(), static_cast<unsigned long long>(cell.tag_count),
              cell.results,
              static_cast<unsigned long long>(cell.nav.pages_scanned),
              static_cast<unsigned long long>(cell.nav.pages_skipped),
-             static_cast<unsigned long long>(cell.nav.pages_skipped_by_tag),
              cell.mean_seconds * 1e3);
       row.push_back(std::move(cell));
     }
     grid.push_back(std::move(row));
   }
 
-  // Check 1: the knobs must not change answers.
+  // The knob must not change answers.
   bool identical = true;
   for (size_t m = 1; m < grid.size(); ++m) {
     for (size_t q = 0; q < grid[m].size(); ++q) {
@@ -166,22 +159,6 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  // Check 2: for the rarest marker, the tag summaries must skip pages the
-  // header skip alone cannot (the whole point of the extension).
-  const size_t rarest = sweep.size() - 1;
-  const uint64_t tag_on =
-      grid[3][rarest].nav.pages_skipped_by_tag;      // header+tag.
-  const uint64_t tag_off =
-      grid[1][rarest].nav.pages_skipped_by_tag;      // header only: 0.
-  const bool effective = tag_on > tag_off;
-  if (!effective) {
-    fprintf(stderr,
-            "TAG SKIP INEFFECTIVE: //%s skipped %llu pages by tag with "
-            "summaries on vs %llu with summaries off\n",
-            sweep[rarest].c_str(), static_cast<unsigned long long>(tag_on),
-            static_cast<unsigned long long>(tag_off));
-  }
-
   std::string json = "{\n";
   char buf[512];
   snprintf(buf, sizeof(buf),
@@ -199,26 +176,23 @@ int Run(int argc, char** argv) {
       snprintf(
           buf, sizeof(buf),
           "    {\"mode\": \"%s\", \"header_skip\": %s, "
-          "\"tag_summaries\": %s, \"tag\": \"%s\", \"tag_count\": %llu, "
+          "\"tag\": \"%s\", \"tag_count\": %llu, "
           "\"results\": %zu, \"mean_seconds\": %.6f, "
           "\"pages_scanned\": %llu, \"pages_skipped\": %llu, "
-          "\"pages_skipped_by_tag\": %llu, \"decode_cache_hits\": %llu}%s\n",
+          "\"decode_cache_hits\": %llu}%s\n",
           kModes[m].name, kModes[m].header_skip ? "true" : "false",
-          kModes[m].tag_summaries ? "true" : "false", c.tag.c_str(),
-          static_cast<unsigned long long>(c.tag_count), c.results,
-          c.mean_seconds,
+          c.tag.c_str(), static_cast<unsigned long long>(c.tag_count),
+          c.results, c.mean_seconds,
           static_cast<unsigned long long>(c.nav.pages_scanned),
           static_cast<unsigned long long>(c.nav.pages_skipped),
-          static_cast<unsigned long long>(c.nav.pages_skipped_by_tag),
           static_cast<unsigned long long>(c.nav.decode_cache_hits),
           m + 1 == grid.size() && q + 1 == grid[m].size() ? "" : ",");
       json += buf;
     }
   }
   snprintf(buf, sizeof(buf),
-           "  ],\n  \"checks\": {\"results_identical\": %s, "
-           "\"tag_skip_effective\": %s}\n}\n",
-           identical ? "true" : "false", effective ? "true" : "false");
+           "  ],\n  \"checks\": {\"results_identical\": %s}\n}\n",
+           identical ? "true" : "false");
   json += buf;
 
   Status s = WriteStringToFile(json_path, Slice(json));
@@ -228,8 +202,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
   printf("\nreport: %s (%s)\n", json_path.c_str(),
-         identical && effective ? "checks passed" : "CHECKS FAILED");
-  return identical && effective ? 0 : 1;
+         identical ? "checks passed" : "CHECKS FAILED");
+  return identical ? 0 : 1;
 }
 
 }  // namespace

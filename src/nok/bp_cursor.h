@@ -1,6 +1,6 @@
 // BpCursor: the TreeCursor over the in-memory balanced-parentheses index
-// (encoding/bp_index.h) — the third navigation tier beside the paged
-// StoreCursor (physical_matcher.h) and the tag-summary fused scan.
+// (encoding/bp_index.h) — the navigation tier beside the paged
+// StoreCursor (physical_matcher.h).
 //
 // Tree steps are O(1)-ish bit operations on the BP bitvector: FIRST-CHILD
 // is a bit probe, FOLLOWING-SIBLING a findclose, and — unlike the paged

@@ -336,9 +336,8 @@ class PagedNav {
   /// All document nodes whose tag satisfies the NoK root's name test,
   /// via a sequential scan of the string store (the "naive" strategy).
   /// `want` is the root pattern's resolved tag (kInvalidTag for a name
-  /// absent from the document).  Selective tags take the fused
-  /// NextOpenWithTag path: the scan consults the per-page tag summaries
-  /// and Dewey IDs are derived only for the hits.
+  /// absent from the document).  Selective tags take the two-phase
+  /// NextOpenWithTag path, which derives Dewey IDs only for the hits.
   Result<std::vector<NodeT>> ScanCandidates(const PatternNode& root_pattern,
                                             TagId want) {
     std::vector<NodeT> out;
@@ -347,13 +346,12 @@ class PagedNav {
       return out;  // Tag absent: no matches anywhere.
     }
 
-    // Fused path for a selective tag test: phase A enumerates hit
-    // positions with NextOpenWithTag, a single tag-filtered chain scan
-    // that skips pages via the per-page summaries (no child counting, so
-    // skipping is sound); phase B derives Dewey IDs only for the hits.
-    // A frequent tag would gain nothing from the filter while phase B
-    // re-navigates per hit, so it keeps the counter scan below, as do
-    // wildcards.
+    // Two-phase path for a selective tag test: phase A enumerates hit
+    // positions with NextOpenWithTag, a single tag-matching chain scan
+    // with no child counting; phase B derives Dewey IDs only for the
+    // hits.  For a frequent tag phase B's per-hit re-navigation costs
+    // more than the counter scan below, so frequent tags keep that scan,
+    // as do wildcards.
     if (!root_pattern.wildcard &&
         store_->CountTag(want) * 2 <= store_->stats().node_count) {
       std::vector<StorePos> hits;
@@ -634,7 +632,7 @@ class BpNav {
   }
 
   /// AnchorScan over the BP index.  Mirrors the paged heuristic: a
-  /// selective tag takes the fused SWAR path (64-node blocks without the
+  /// selective tag takes the SWAR tag scan (64-node blocks without the
   /// tag dismissed in 16 word compares, Dewey IDs derived only for the
   /// hits); frequent tags and wildcards take one sequential pass over
   /// the raw bits, which yields every open's Dewey ID inline.
